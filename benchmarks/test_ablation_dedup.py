@@ -48,13 +48,15 @@ def run_ablation():
     results = {}
     for name, (dedup, compressor) in variants.items():
         db = LocalDatabase()
-        indexer = Indexer(db, chunker=FixedChunker(chunk_size=64 * 1024), compressor=compressor)
+        indexer = Indexer(db, chunker=FixedChunker(chunk_size=64 * 1024))
         uploaded = 0
         started = time.perf_counter()
         for path, content in files:
             result = indexer.index_change("ws", "dev", path, content)
             uploads = result.uploads
-            uploaded += sum(len(payload) for _fp, payload in uploads)
+            # The indexer hands over raw chunks; the client's transfer
+            # workers compress each one before its PUT.
+            uploaded += sum(len(compressor.compress(data)) for _fp, data in uploads)
             if dedup:
                 db.remember_fingerprints(fp for fp, _ in uploads)
             # With dedup off, the index is never taught the fingerprints.

@@ -7,6 +7,11 @@ partition the modified file into chunks and calculate the hash values for
 each chunk.  Then, the Indexer will compare the hashes of the new chunks
 with those in the local database.  If some of the chunks already exist,
 only the new ones will be uploaded."
+
+The Indexer stops at the upload list: it hands over raw chunk data.
+Compression belongs to the data plane — the client owns the codec and
+the transfer workers encode each chunk right before its PUT (see
+:mod:`repro.client.transfer`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.client.chunker import Chunk, FixedChunker
-from repro.client.compression import Compressor, GzipCompressor
 from repro.client.local_db import LocalDatabase
 from repro.sync.models import (
     STATUS_CHANGED,
@@ -33,30 +37,20 @@ class IndexResult:
 
     proposal: ItemMetadata
     #: Chunks that must be uploaded (not known to this user's dedup index),
-    #: already compressed for transmission.
-    uploads: List[tuple] = field(default_factory=list)  # (fingerprint, payload)
+    #: as raw chunk data; the transfer workers compress them.
+    uploads: List[tuple] = field(default_factory=list)  # (fingerprint, data)
     #: Fingerprints that were deduplicated away.
     deduplicated: List[str] = field(default_factory=list)
     #: Raw (uncompressed) size of the uploads, for traffic accounting.
     upload_raw_bytes: int = 0
 
-    @property
-    def upload_bytes(self) -> int:
-        return sum(len(payload) for _fp, payload in self.uploads)
-
 
 class Indexer:
     """Turns detected file changes into commit proposals + upload lists."""
 
-    def __init__(
-        self,
-        local_db: LocalDatabase,
-        chunker=None,
-        compressor: Compressor = None,
-    ):
+    def __init__(self, local_db: LocalDatabase, chunker=None):
         self.local_db = local_db
         self.chunker = chunker if chunker is not None else FixedChunker()
-        self.compressor = compressor if compressor is not None else GzipCompressor()
 
     def index_change(
         self,
@@ -93,8 +87,7 @@ class Indexer:
                 deduplicated.append(chunk.fingerprint)
                 continue
             seen_in_this_file.add(chunk.fingerprint)
-            payload = self.compressor.compress(chunk.data)
-            uploads.append((chunk.fingerprint, payload))
+            uploads.append((chunk.fingerprint, chunk.data))
             raw += chunk.size
 
         proposal = ItemMetadata(

@@ -4,9 +4,13 @@ A :class:`StackSyncClient` owns:
 
 * a local :class:`~repro.client.fs.Filesystem` (the synced folder),
 * a :class:`~repro.client.watcher.PollingWatcher` detecting changes,
-* an :class:`~repro.client.indexer.Indexer` (chunker + compressor + per-user
-  dedup against the local database),
+* an :class:`~repro.client.indexer.Indexer` (chunker + per-user dedup
+  against the local database),
+* the chunk codec (:mod:`repro.client.compression`), which it hands to
+  the transfer workers: they compress each chunk before its PUT and
+  decompress (and verify) it after its GET,
 * a direct connection to the Storage back-end for chunk upload/download
+  through a :class:`~repro.client.transfer.ChunkTransferManager`
   (data flow), and
 * an ObjectMQ proxy to the SyncService plus a bound receiver on the
   workspace fanout for push notifications (control flow).
@@ -95,17 +99,17 @@ class ClientTrafficStats:
         self.transfer_retries = 0
         self.transfers_coalesced = 0
 
-    def add_up(self, nbytes: int) -> None:
-        with self._lock:
-            self.storage_up += nbytes
-
-    def add_down(self, nbytes: int) -> None:
-        with self._lock:
-            self.storage_down += nbytes
-
     def add_commit(self) -> None:
         with self._lock:
             self.commits_sent += 1
+
+    def add_notification(self) -> None:
+        with self._lock:
+            self.notifications_received += 1
+
+    def add_conflict(self) -> None:
+        with self._lock:
+            self.conflicts += 1
 
     def record_transfer(self, record: TransferRecord) -> None:
         """Account one chunk transfer (called from pool worker threads)."""
@@ -171,11 +175,8 @@ class StackSyncClient:
         # Any object with the LocalDatabase surface works, notably the
         # durable SqliteLocalDatabase (repro.client.persistent_db).
         self.local_db = local_db if local_db is not None else LocalDatabase()
-        self.indexer = Indexer(
-            self.local_db,
-            chunker=chunker or FixedChunker(),
-            compressor=compressor or GzipCompressor(),
-        )
+        self.indexer = Indexer(self.local_db, chunker=chunker or FixedChunker())
+        self.compressor = compressor or GzipCompressor()
         self.watcher = PollingWatcher(self.fs, on_event=self._on_watch_event)
         self.broker = Broker(mom, environment={"codec": codec, "client_id": self.device_id})
         # shards > 1 selects the partitioned commit path: every
@@ -336,8 +337,9 @@ class StackSyncClient:
     def _upload_chunks(self, result: IndexResult) -> None:
         """Upload the unique chunks *before* proposing the commit (§4.1).
 
-        Chunks go through the transfer manager's worker pool: parallel
-        PUTs with retry, coalesced with any identical in-flight upload.
+        Chunks go through the transfer manager's worker pool: each worker
+        compresses its chunk, then PUTs it with retry; a chunk identical
+        to an in-flight upload coalesces onto it.
         """
         if not result.uploads:
             return
@@ -345,6 +347,7 @@ class StackSyncClient:
             self.storage,
             self.container,
             result.uploads,
+            encode=self.compressor.compress,
             on_uploaded=self.local_db.cache_chunk,
             record=self.stats.record_transfer,
         )
@@ -391,7 +394,7 @@ class StackSyncClient:
     # -- internals: inbound ---------------------------------------------------------------
 
     def _on_notification(self, notification: CommitNotification) -> None:
-        self.stats.notifications_received += 1
+        self.stats.add_notification()
         for result in notification.results:
             try:
                 self._handle_result(result)
@@ -411,7 +414,7 @@ class StackSyncClient:
             self._mark_applied(metadata.item_id, metadata.version)
         else:
             if ours:
-                self.stats.conflicts += 1
+                self.stats.add_conflict()
                 self._resolve_conflict(result)
 
     def _confirm_own_commit(self, metadata: ItemMetadata) -> None:
@@ -473,7 +476,7 @@ class StackSyncClient:
         fingerprinter = self.indexer.chunker.fingerprinter
 
         def decode(fingerprint: str, payload: bytes) -> bytes:
-            plain = self.indexer.compressor.decompress(payload)
+            plain = self.compressor.decompress(payload)
             if fingerprinter(plain) != fingerprint:
                 raise SyncError(
                     f"integrity check failed for chunk {fingerprint} of "

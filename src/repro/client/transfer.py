@@ -1,20 +1,31 @@
 """Bounded-concurrency chunk transfer manager — the parallel data plane.
 
 The paper's sync-time results (Fig 7e/f) are dominated by per-chunk
-round-trips to the Storage back-end.  The serial client paid one full
-latency floor per chunk; chunk transfers are independent, so a 10 MB ADD
-(~20 chunks) can overlap nearly all of them.  :class:`ChunkTransferManager`
-is the client-side data plane that makes this happen:
+work: compressing each chunk and one round-trip to the Storage back-end
+per chunk.  Chunks are independent, so a 10 MB ADD (~20 chunks) can
+overlap nearly all of that work.  :class:`ChunkTransferManager` is the
+client-side data plane that makes this happen.  Every chunk runs one
+pipeline on one worker:
+
+* **up**: ``encode`` (compression) → PUT with retry → ``on_uploaded``
+  (the caller caches the stored payload);
+* **down**: cache ``lookup`` or GET with retry → ``decode``
+  (decompression plus the integrity check) → ``on_fetched``.
+
+``zlib`` releases the interpreter lock while it works, so the codec
+stages overlap across workers as well as the storage round-trips.
+Around that pipeline the manager provides:
 
 * a **shared worker pool** (one manager can serve many clients/devices)
   with a configurable ``pool_size`` — size 1 reproduces the serial client;
 * **per-transfer retry** with exponential backoff on transient
-  :class:`~repro.errors.StorageError` (a missing object is permanent and
-  is never retried);
+  :class:`~repro.errors.StorageError`; only the storage operation is
+  retried, never the codec (a missing object is permanent and is never
+  retried either);
 * **in-flight deduplication**: two concurrent transfers of the same
-  (container, fingerprint) coalesce onto one storage operation — two files
-  sharing a chunk upload it once, a file repeating a chunk downloads it
-  once;
+  (container, fingerprint) coalesce onto one pipeline run — two files
+  sharing a chunk encode and upload it once, a file repeating a chunk
+  downloads and decodes it once;
 * **ordered reassembly**: :meth:`fetch_chunks` returns results in input
   order regardless of completion order, so file reconstruction and the
   integrity check are unchanged;
@@ -169,25 +180,28 @@ class ChunkTransferManager:
         store,
         container: str,
         items: Sequence[Tuple[str, bytes]],
+        encode: Optional[Callable[[bytes], bytes]] = None,
         on_uploaded: Optional[Callable[[str, bytes], None]] = None,
         record: Optional[Callable[[TransferRecord], None]] = None,
     ) -> List[TransferRecord]:
-        """PUT every (fingerprint, payload) in parallel; block until done.
+        """Encode and PUT every (fingerprint, data) in parallel; block until done.
 
-        ``on_uploaded(fingerprint, payload)`` fires once per chunk that was
-        actually stored (coalesced duplicates skip it).  Raises the first
-        failure after all transfers settle.
+        ``encode(data)`` runs on the worker (compression) and its result is
+        the payload stored, charged and handed to
+        ``on_uploaded(fingerprint, payload)``, which fires once per chunk
+        that was actually stored.  Coalesced duplicates neither encode nor
+        fire it.  Raises the first failure after all transfers settle.
         """
         # Captured on the caller's thread so pool workers join its trace.
         parent = TRACER.current() if TRACER.enabled else None
         jobs = [
             self._submit(
                 (UP, id(store), container, fingerprint),
-                lambda fp=fingerprint, data=payload: self._upload_one(
-                    store, container, fp, data, on_uploaded, parent
+                lambda fp=fingerprint, raw=data: self._upload_one(
+                    store, container, fp, raw, encode, on_uploaded, parent
                 ),
             )
-            for fingerprint, payload in items
+            for fingerprint, data in items
         ]
         outcomes = self._settle(jobs)
         return self._collect(outcomes, record)
@@ -231,11 +245,22 @@ class ChunkTransferManager:
         store,
         container: str,
         fingerprint: str,
-        payload: bytes,
+        raw: bytes,
+        encode: Optional[Callable[[bytes], bytes]],
         on_uploaded: Optional[Callable[[str, bytes], None]],
         parent: Optional[TraceContext] = None,
     ) -> Tuple[TransferRecord, None]:
         started = time.perf_counter()
+        if encode is None:
+            payload = raw
+        else:
+            with TRACER.span(
+                "client.encode_chunk",
+                layer="client",
+                parent=parent,
+                attrs={"fingerprint": fingerprint, "nbytes": len(raw)},
+            ):
+                payload = encode(raw)
         with TRACER.span(
             "storage.put_chunk",
             layer="storage",

@@ -7,16 +7,13 @@ import hashlib
 import pytest
 
 from repro.client import FixedChunker, Indexer, LocalDatabase, LocalFileRecord
-from repro.client.compression import NullCompressor
 from repro.client.indexer import make_item_id
 from repro.sync.models import STATUS_CHANGED, STATUS_DELETED, STATUS_NEW
 
 
 @pytest.fixture
 def indexer():
-    return Indexer(
-        LocalDatabase(), chunker=FixedChunker(chunk_size=8), compressor=NullCompressor()
-    )
+    return Indexer(LocalDatabase(), chunker=FixedChunker(chunk_size=8))
 
 
 def test_new_file_proposal(indexer):
@@ -29,7 +26,8 @@ def test_new_file_proposal(indexer):
     assert proposal.size == 16
     assert len(proposal.chunks) == 2
     assert proposal.checksum == hashlib.sha1(content).hexdigest()
-    assert len(result.uploads) == 2
+    # Uploads carry raw chunk data: the transfer workers compress them.
+    assert [data for _fp, data in result.uploads] == [content[:8], content[8:]]
     assert result.upload_raw_bytes == 16
 
 
@@ -75,17 +73,6 @@ def test_repeated_chunk_within_one_file_uploaded_once(indexer):
     result = indexer.index_change("ws", "dev", "a.txt", content)
     assert len(result.uploads) == 1
     assert len(result.proposal.chunks) == 3
-
-
-def test_compression_applied_to_uploads():
-    from repro.client.compression import GzipCompressor
-
-    indexer = Indexer(
-        LocalDatabase(), chunker=FixedChunker(chunk_size=1024), compressor=GzipCompressor()
-    )
-    content = b"compressible " * 500
-    result = indexer.index_change("ws", "dev", "a.txt", content)
-    assert result.upload_bytes < result.upload_raw_bytes
 
 
 def test_delete_proposal(indexer):

@@ -1,13 +1,16 @@
-"""ChunkTransferManager: retry, coalescing, ordered parallel reassembly."""
+"""ChunkTransferManager: worker-side encode, retry, coalescing, ordered
+parallel reassembly."""
 
 from __future__ import annotations
 
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro.client.chunker import FixedChunker
+from repro.client.compression import GzipCompressor
 from repro.client.transfer import ChunkTransferManager
 from repro.errors import ObjectNotFound, StorageError
 from repro.storage import SwiftLikeStore
@@ -42,19 +45,45 @@ class FlakyStore:
 
 
 class GatedStore:
-    """Store facade whose GETs block until the gate opens."""
+    """Store facade whose GETs and PUTs block until the gate opens."""
 
     def __init__(self, inner, gate):
         self.inner = inner
         self.gate = gate
+        self.entered = threading.Event()
         self._lock = threading.Lock()
         self.get_count = 0
+        self.put_count = 0
 
     def get_object(self, container, name):
         self.gate.wait(timeout=5)
         with self._lock:
             self.get_count += 1
         return self.inner.get_object(container, name)
+
+    def put_object(self, container, name, data):
+        self.entered.set()
+        self.gate.wait(timeout=5)
+        with self._lock:
+            self.put_count += 1
+        self.inner.put_object(container, name, data)
+
+
+class RecordingCodec(GzipCompressor):
+    """The default codec, noting the thread of every compress call."""
+
+    def __init__(self, fail_with=None):
+        super().__init__()
+        self.fail_with = fail_with
+        self._lock = threading.Lock()
+        self.compress_threads = []
+
+    def compress(self, data):
+        with self._lock:
+            self.compress_threads.append(threading.current_thread().name)
+        if self.fail_with is not None:
+            raise self.fail_with
+        return super().compress(data)
 
 
 @pytest.fixture
@@ -89,6 +118,64 @@ def test_upload_raises_after_exhausting_attempts(store):
         flaky.put_failures = 0
         tm.upload_chunks(flaky, "c", [("fp1", b"payload")])
     assert store.get_object("c", "fp1") == b"payload"
+
+
+def test_upload_stores_and_caches_the_encoding(store):
+    uploaded = {}
+    with manager(pool_size=2) as tm:
+        [rec] = tm.upload_chunks(
+            store,
+            "c",
+            [("fp1", b"raw " * 64)],
+            encode=zlib.compress,
+            on_uploaded=uploaded.__setitem__,
+        )
+    encoded = zlib.compress(b"raw " * 64)
+    assert store.get_object("c", "fp1") == encoded
+    assert uploaded == {"fp1": encoded}  # the caller caches what was stored
+    assert rec.nbytes == len(encoded)
+
+
+def test_upload_retry_repeats_the_put_not_the_encode(store):
+    flaky = FlakyStore(store, put_failures=2)
+    encoded = []
+
+    def encode(raw):
+        encoded.append(raw)
+        return raw.upper()
+
+    with manager(pool_size=2, max_attempts=3) as tm:
+        [rec] = tm.upload_chunks(flaky, "c", [("fp1", b"payload")], encode=encode)
+    assert rec.attempts == 3
+    assert encoded == [b"payload"]
+    assert store.get_object("c", "fp1") == b"PAYLOAD"
+
+
+def test_concurrent_uploads_of_one_chunk_encode_once(store):
+    gate = threading.Event()
+    gated = GatedStore(store, gate)
+    encoded = []
+
+    def encode(raw):
+        encoded.append(raw)
+        return zlib.compress(raw)
+
+    with manager(pool_size=4) as tm:
+        first = threading.Thread(
+            target=tm.upload_chunks,
+            args=(gated, "c", [("shared", b"S" * 64)]),
+            kwargs={"encode": encode},
+        )
+        first.start()
+        assert gated.entered.wait(timeout=5)  # the first PUT is in flight
+        threading.Timer(0.05, gate.set).start()
+        [rec] = tm.upload_chunks(gated, "c", [("shared", b"S" * 64)], encode=encode)
+        first.join(timeout=5)
+    assert rec.coalesced
+    assert encoded == [b"S" * 64]
+    assert gated.put_count == 1
+    assert tm.stats.chunks_up == 1
+    assert tm.stats.coalesced == 1
 
 
 def test_download_retries_transient_storage_error(store):
@@ -186,3 +273,85 @@ def test_client_parallel_transfer_end_to_end(testbed):
     assert scraped["chunk_uploads"] == 8
     assert scraped["upload_seconds"] >= 0.0
     assert scraped["storage_up_bytes"] == testbed.storage.bytes_in
+
+
+def test_compression_applied_to_uploads(testbed):
+    """Compressible content is stored and charged below its raw size."""
+    client = testbed.client(device_id="w", chunker=FixedChunker(chunk_size=1024))
+    content = b"compressible " * 500
+    client.put_file("a.txt", content)
+    unique = {c.fingerprint: c.size for c in FixedChunker(chunk_size=1024).chunk(content)}
+    raw = sum(unique.values())
+    assert testbed.storage.bytes_in == client.stats.storage_up
+    assert client.stats.chunk_uploads == len(unique)
+    assert client.stats.storage_up < raw
+
+
+def test_stored_chunks_are_the_codec_output_compressed_on_workers(testbed):
+    codec = RecordingCodec()
+    client = testbed.client(
+        device_id="w", chunker=FixedChunker(chunk_size=1024), compressor=codec
+    )
+    content = bytes(i % 251 for i in range(8 * 1024))  # 8 distinct chunks
+    client.put_file("big.bin", content)
+    reference = GzipCompressor()
+    chunks = FixedChunker(chunk_size=1024).chunk(content)
+    assert len({c.fingerprint for c in chunks}) == 8
+    for chunk in chunks:
+        stored = testbed.storage.get_object(client.container, chunk.fingerprint)
+        assert stored == reference.compress(chunk.data)
+    # Every chunk was compressed exactly once, on a pool worker and never
+    # on the caller's thread.
+    assert len(codec.compress_threads) == 8
+    caller = threading.current_thread().name
+    assert all(name.startswith("chunk-transfer") for name in codec.compress_threads)
+    assert caller not in codec.compress_threads
+
+
+def test_traffic_counters_do_not_depend_on_pool_size():
+    from tests.conftest import SyncTestbed
+
+    content = bytes(i % 251 for i in range(12 * 1024)) + b"tail" * 100
+    counters = {}
+    for pool_size in (1, 4):
+        bed = SyncTestbed()
+        try:
+            client = bed.client(
+                device_id="w",
+                chunker=FixedChunker(chunk_size=1024),
+                transfer_pool_size=pool_size,
+            )
+            client.put_file("big.bin", content)
+            client.put_file("copy.bin", content)  # fully deduplicated
+            scraped = client.stats.scrape()
+            counters[pool_size] = (
+                bed.storage.bytes_in,
+                bed.storage.put_count,
+                scraped["storage_up_bytes"],
+                scraped["chunk_uploads"],
+                scraped["transfers_coalesced"],
+            )
+        finally:
+            bed.close()
+    assert counters[1] == counters[4]
+    assert counters[1][0] == counters[1][2]
+
+
+def test_encode_failure_fails_put_file_without_side_effects(testbed):
+    # A StorageError from the codec looks transient, yet only the PUT is
+    # retried: each chunk is encoded exactly once.
+    codec = RecordingCodec(fail_with=StorageError("codec failure"))
+    client = testbed.client(
+        device_id="w", chunker=FixedChunker(chunk_size=1024), compressor=codec
+    )
+    content = bytes(i % 251 for i in range(4 * 1024))
+    with pytest.raises(StorageError, match="codec failure"):
+        client.put_file("big.bin", content)
+    assert len(codec.compress_threads) == 4
+    assert testbed.storage.list_container(client.container) == []
+    assert testbed.storage.put_count == 0
+    for chunk in FixedChunker(chunk_size=1024).chunk(content):
+        assert client.local_db.cached_chunk(chunk.fingerprint) is None
+        assert not client.local_db.knows_fingerprint(chunk.fingerprint)
+    assert client.stats.commits_sent == 0
+    assert client.local_db.get_by_path("big.bin") is None

@@ -67,6 +67,13 @@ def test_commit_produces_one_tree_across_layers(traced_testbed):
     puts = [s for s in tree if s.name == "storage.put_chunk"]
     assert len(puts) == 4
     assert all(s.thread.startswith("chunk-transfer") for s in puts)
+    # Compression runs on the same workers, one encode span per chunk,
+    # each a sibling of its chunk's PUT under the caller's context.
+    encodes = [s for s in tree if s.name == "client.encode_chunk"]
+    assert len(encodes) == 4
+    assert all(s.thread.startswith("chunk-transfer") for s in encodes)
+    assert all(s.layer == "client" for s in encodes)
+    assert {s.parent_id for s in encodes} == {s.parent_id for s in puts}
 
     # Queue wait is derived from the broker's own enqueue/dequeue stamps.
     waits = [s for s in tree if s.layer == "queue"]
